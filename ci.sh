@@ -28,6 +28,19 @@ cargo test --offline -q --workspace
 echo "==> obs smoke (two-city metrics snapshot + scheduling profile replay-identical)"
 cargo test --offline -q -p ctt --test obs_profile
 
+echo "==> bench_e2e tests (the end-to-end benchmark builds against the workspace's public API)"
+cargo test --release --offline -q --manifest-path bench_e2e/Cargo.toml
+
+echo "==> bench_e2e traced smoke (trondheim_week + vejle_spike, 1 s each)"
+# Exits non-zero when a correctness check fails or the traced stage driver
+# diverges from Pipeline::stats(); the last line is the JSON result.
+mkdir -p target
+for workload in trondheim_week vejle_spike; do
+    cargo run --release --offline --quiet --manifest-path bench_e2e/Cargo.toml -- \
+        --workload "$workload" --seconds 1 --trace 1 > target/bench_e2e_smoke.txt
+    tail -n 1 target/bench_e2e_smoke.txt | cut -c 1-160
+done
+
 echo "==> criterion smoke benches (BENCH_ingest / BENCH_query / BENCH_query_multiuser / BENCH_scheduler / BENCH_obs)"
 # The scheduler bench scales to the 100-city fleet shape: flat-queue vs
 # sharded slice dispatch at 2k/20k/100k nodes (setup untimed), alongside

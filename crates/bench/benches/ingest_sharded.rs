@@ -12,15 +12,19 @@
 //!
 //! CI exports the results as `BENCH_ingest.json` (via `CRITERION_JSON`)
 //! and the `bench_check` validator asserts 4-shard throughput beats
-//! 1-shard.
+//! 1-shard. The `ingest_pipeline` group feeds the runtime in the
+//! pipeline's own shape (nine interleaved series per uplink) and is
+//! exported ungated.
 
 use criterion::{
     black_box, criterion_group, criterion_main, report_metric, BenchmarkId, Criterion, Throughput,
 };
+use ctt_core::quantity::Quantity;
 use ctt_core::time::{Span, Timestamp};
-use ctt_ingest::{IngestConfig, IngestRuntime};
+use ctt_ingest::{IngestConfig, IngestRuntime, SeriesHandle};
 use ctt_obs::Registry;
-use ctt_tsdb::{DataPoint, Query, ShardedTsdb};
+use ctt_tsdb::{DataPoint, Query, ShardedTsdb, TagSet, DEFAULT_SHARDS};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 const DEVICES: u32 = 8;
@@ -168,10 +172,123 @@ fn ingest_runtime(c: &mut Criterion) {
     g.finish();
 }
 
+/// Devices and uplinks per device of the pipeline-shaped workload.
+const PIPELINE_DEVICES: u32 = 32;
+const PIPELINE_UPLINKS: i64 = 200;
+/// Series per uplink: the eight sensed quantities plus RSSI, as the
+/// pipeline stores them.
+const PIPELINE_SERIES: usize = Quantity::ALL.len() + 1;
+const RSSI_METRIC: &str = "ctt.net.rssi";
+
+/// The pipeline's nine metric names, in storage order.
+fn pipeline_metrics() -> impl Iterator<Item = String> {
+    Quantity::ALL
+        .iter()
+        .map(|q| q.metric_name())
+        .chain(std::iter::once(RSSI_METRIC.to_string()))
+}
+
+fn pipeline_tags(device: u32) -> TagSet {
+    [
+        ("city".to_string(), "trondheim".to_string()),
+        ("device".to_string(), format!("{device:016x}")),
+    ]
+    .into()
+}
+
+/// The uplinks in arrival order (every device's uplink at one instant
+/// before any at the next), each as a device and nine values.
+fn pipeline_uplinks() -> Vec<(u32, Timestamp, [f64; PIPELINE_SERIES])> {
+    let start = Timestamp::from_civil(2017, 1, 1, 0, 0, 0);
+    (0..PIPELINE_UPLINKS)
+        .flat_map(|i| {
+            (0..PIPELINE_DEVICES).map(move |d| {
+                let t = start + Span::minutes(5 * i) + Span::seconds(i64::from(d));
+                let values = std::array::from_fn(|m| {
+                    400.0 + (m as f64) * 10.0 + ((i as f64) * 0.02 + f64::from(d)).sin()
+                });
+                (d, t, values)
+            })
+        })
+        .collect()
+}
+
+fn ingest_pipeline(c: &mut Criterion) {
+    // The runtime in the pipeline's shape: each decoded uplink carries
+    // nine series of one device, uplinks from all devices interleave, and
+    // each uplink is one submit. `datapoints` builds the nine tagged
+    // points per uplink and submits them (the runtime's last-series memo
+    // never hits: consecutive points belong to different series);
+    // `handles` resolves a device's nine series at its first uplink and
+    // submits `(handle, time, value)` triples. Both arms end at the flush
+    // barrier; runtime spawn is untimed setup, as in `ingest_runtime`.
+    let uplinks = pipeline_uplinks();
+    let points = uplinks.len() * PIPELINE_SERIES;
+    let mut g = c.benchmark_group("ingest_pipeline");
+    g.sample_size(10);
+    g.throughput(Throughput::Elements(points as u64));
+    for arm in ["datapoints", "handles"] {
+        let mut graveyard = Vec::new();
+        g.bench_with_input(BenchmarkId::new(arm, DEFAULT_SHARDS), &arm, |b, &arm| {
+            b.iter_with_setup(
+                || {
+                    let registry = Registry::new();
+                    let mut db = ShardedTsdb::new(DEFAULT_SHARDS);
+                    db.attach_registry(&registry);
+                    let rt = IngestRuntime::new(&db, &registry, IngestConfig::default());
+                    (registry, db, rt)
+                },
+                |(registry, db, mut rt)| {
+                    if arm == "handles" {
+                        let mut handles: HashMap<u32, Vec<SeriesHandle>> = HashMap::new();
+                        let mut triples = Vec::with_capacity(PIPELINE_SERIES);
+                        for (device, t, values) in &uplinks {
+                            let hs = handles.entry(*device).or_insert_with(|| {
+                                let tags = pipeline_tags(*device);
+                                pipeline_metrics()
+                                    .map(|m| rt.resolve(&m, &tags).expect("valid series"))
+                                    .collect()
+                            });
+                            triples.clear();
+                            triples.extend(hs.iter().zip(values).map(|(&h, &v)| (h, *t, v)));
+                            rt.submit_resolved(&triples);
+                        }
+                    } else {
+                        let mut batch = Vec::with_capacity(PIPELINE_SERIES);
+                        for (device, t, values) in &uplinks {
+                            let device_tag = format!("{device:016x}");
+                            batch.clear();
+                            batch.extend(pipeline_metrics().zip(values).map(|(m, &v)| {
+                                DataPoint::new(
+                                    m,
+                                    vec![
+                                        ("city".to_string(), "trondheim".to_string()),
+                                        ("device".to_string(), device_tag.clone()),
+                                    ],
+                                    *t,
+                                    v,
+                                )
+                                .expect("valid point")
+                            }));
+                            rt.submit(&batch);
+                        }
+                    }
+                    rt.flush();
+                    graveyard.push((registry, rt));
+                    black_box(db.stats().points)
+                },
+            );
+        });
+        drop(graveyard);
+    }
+    g.finish();
+}
+
 criterion_group!(
     benches,
     ingest_throughput,
     ingest_single_writer,
-    ingest_runtime
+    ingest_runtime,
+    ingest_pipeline
 );
 criterion_main!(benches);

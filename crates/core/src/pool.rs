@@ -40,15 +40,20 @@ fn clamp_width(par: usize, lo: usize, hi: usize) -> usize {
     par.clamp(lo, hi)
 }
 
+/// One queued job: its index in the caller's batch, the input, and the
+/// caller's reply channel.
+type Job<I, O> = (usize, I, Sender<(usize, O)>);
+
 /// A fixed pool of worker threads applying one pure function to batches of
 /// jobs, returning results in submission order (deterministic merge).
 ///
 /// The function must be pure (no shared mutable state): the pool guarantees
 /// *ordering* of results, while purity is what guarantees their *values*
-/// are schedule-independent.
+/// are schedule-independent. Several threads may call [`OrderedPool::map`]
+/// at once (concurrent dashboard queries share one pool): every call
+/// collects its results on its own reply channel.
 pub struct OrderedPool<I, O> {
-    jobs: Option<Sender<(usize, I)>>,
-    results: Receiver<(usize, O)>,
+    jobs: Option<Sender<Job<I, O>>>,
     workers: Vec<JoinHandle<()>>,
     /// Kept for the single-item inline fast path in [`OrderedPool::map`].
     f: Arc<dyn Fn(I) -> O + Send + Sync>,
@@ -69,25 +74,22 @@ impl<I: Send + 'static, O: Send + 'static> OrderedPool<I, O> {
         F: Fn(I) -> O + Send + Sync + 'static,
     {
         let f = Arc::new(f);
-        let (jobs_tx, jobs_rx) = channel::unbounded::<(usize, I)>();
-        let (results_tx, results_rx) = channel::unbounded::<(usize, O)>();
+        let (jobs_tx, jobs_rx) = channel::unbounded::<Job<I, O>>();
         let handles = (0..workers.max(1))
             .map(|_| {
-                let rx = jobs_rx.clone();
-                let tx = results_tx.clone();
+                let rx: Receiver<Job<I, O>> = jobs_rx.clone();
                 let f = Arc::clone(&f);
                 std::thread::spawn(move || {
-                    while let Ok((seq, job)) = rx.recv() {
-                        if tx.send((seq, f(job))).is_err() {
-                            break;
-                        }
+                    while let Ok((seq, job, reply)) = rx.recv() {
+                        // A caller that stopped listening lost nothing
+                        // another caller needs.
+                        let _ = reply.send((seq, f(job)));
                     }
                 })
             })
             .collect();
         OrderedPool {
             jobs: Some(jobs_tx),
-            results: results_rx,
             workers: handles,
             f,
         }
@@ -107,17 +109,19 @@ impl<I: Send + 'static, O: Send + 'static> OrderedPool<I, O> {
         let Some(jobs) = self.jobs.as_ref() else {
             return Vec::new();
         };
+        let (reply_tx, reply_rx) = channel::unbounded::<(usize, O)>();
         let mut submitted = 0usize;
         for (seq, item) in items.into_iter().enumerate() {
-            if jobs.send((seq, item)).is_err() {
+            if jobs.send((seq, item, reply_tx.clone())).is_err() {
                 break;
             }
             submitted += 1;
         }
+        drop(reply_tx);
         let mut slots: Vec<Option<O>> = (0..submitted).map(|_| None).collect();
         let mut received = 0usize;
         while received < submitted {
-            let Ok((seq, out)) = self.results.recv() else {
+            let Ok((seq, out)) = reply_rx.recv() else {
                 break; // all workers gone; return what arrived
             };
             if let Some(slot) = slots.get_mut(seq) {
@@ -212,6 +216,25 @@ mod tests {
         // Single-item batches take the inline fast path; same contract.
         assert_eq!(pool.map(vec![5]), vec![10]);
         assert_eq!(pool.map(Vec::new()), Vec::<u64>::new());
+    }
+
+    #[test]
+    fn concurrent_callers_each_get_their_own_results() {
+        let pool: OrderedPool<u64, u64> = OrderedPool::new(2, |x| x * 3);
+        std::thread::scope(|s| {
+            for caller in 0..4u64 {
+                let pool = &pool;
+                s.spawn(move || {
+                    for round in 0..200u64 {
+                        let items: Vec<u64> = (0..4)
+                            .map(|i| caller * 1_000_000 + round * 10 + i)
+                            .collect();
+                        let expect: Vec<u64> = items.iter().map(|x| x * 3).collect();
+                        assert_eq!(pool.map(items), expect);
+                    }
+                });
+            }
+        });
     }
 
     #[test]

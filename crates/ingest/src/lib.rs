@@ -18,10 +18,14 @@
 //!   exactly once: the first point of a new series hashes its key, lands
 //!   in the producer's open-addressed table, and appends a definition to
 //!   the owning lane's log. Every later point ships as a bare
-//!   `(timestamp, value)` pair under a run header `(ref, len)` — real
-//!   ingest is run-shaped (devices drain contiguously), so one memoized
-//!   equality check replaces hash + probe on the fast path, and the
+//!   `(timestamp, value)` pair under a run header `(ref, len)`, and the
 //!   writer feeds whole runs straight into the shard without regrouping.
+//!   Producers that know their series up front resolve each one once
+//!   ([`IngestRuntime::resolve`]) and submit `(SeriesHandle, time, value)`
+//!   triples ([`IngestRuntime::submit_resolved`]) with no per-point
+//!   strings at all; [`IngestRuntime::submit`] takes `DataPoint`s,
+//!   resolves each (one memoized equality check on run-shaped input), and
+//!   stages it through the same loop.
 //! * **Batch interning.** The writer interns a series into the shard's
 //!   map once per series *lifetime* (the id is cached per ref), not once
 //!   per point, and applies each ring batch through one write session.
@@ -71,6 +75,7 @@ pub mod ring;
 
 use ctt_core::time::Timestamp;
 use ctt_obs::{Counter, Gauge, Registry};
+use ctt_tsdb::model::is_valid_name;
 use ctt_tsdb::{series_key_hash, DataPoint, SeriesId, ShardWriter, ShardedTsdb, TagSet};
 use parking_lot::Mutex;
 use ring::SpscRing;
@@ -218,14 +223,23 @@ struct LaneLocal {
     join: Mutex<Option<JoinHandle<()>>>,
 }
 
+/// A resolved series: its owning lane plus its lane-local ref. Returned
+/// by [`IngestRuntime::resolve`] and valid only for the runtime that
+/// issued it; submitting it through [`IngestRuntime::submit_resolved`]
+/// skips every per-point string, hash and key comparison.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct SeriesHandle {
+    lane: u32,
+    r: u32,
+}
+
 /// One resolved series on the producer side: its identity (for probe
-/// verification) and its routing — owning lane plus lane-local ref.
+/// verification) and its routing handle.
 #[derive(Debug)]
 struct ProducerSlot {
     metric: String,
     tags: TagSet,
-    lane: u32,
-    r: u32,
+    handle: SeriesHandle,
 }
 
 /// Open-addressed series-key-hash table with full-key verification on
@@ -418,7 +432,7 @@ pub struct IngestRuntime {
     staging: Mutex<Vec<LaneBatch>>,
     /// Staged points per lane that trigger shipping a ring batch.
     ship_points: usize,
-    /// Series resolution: (metric, tags) → (lane, ref), assigned in first
+    /// Series resolution: (metric, tags) → handle, assigned in first
     /// occurrence order.
     table: KeyTable,
     slots: Vec<ProducerSlot>,
@@ -506,93 +520,129 @@ impl IngestRuntime {
         self.lanes.len()
     }
 
-    /// Resolve a point's series to its routing — owning lane plus
-    /// lane-local ref — registering a new series (producer table + lane
-    /// definition log) on first sight. Free-standing over the resolution
-    /// fields so `submit` can hold its staging lock alongside.
-    #[inline]
+    /// Resolve `(metric, tags)` to its series handle, registering a new
+    /// series (producer table + owning lane's definition log) on first
+    /// sight; resolving a known series returns the same handle and logs
+    /// nothing. Names are checked against the OpenTSDB charset, as
+    /// [`DataPoint::new`] checks them. `None` for an invalid metric or tag,
+    /// or when the runtime has no lanes.
+    pub fn resolve(&mut self, metric: &str, tags: &TagSet) -> Option<SeriesHandle> {
+        let valid = is_valid_name(metric)
+            && tags
+                .iter()
+                .all(|(k, v)| is_valid_name(k) && is_valid_name(v));
+        if !valid {
+            return None;
+        }
+        Self::resolve_in(&mut self.table, &mut self.slots, &self.lanes, metric, tags)
+            .map(|(_, handle)| handle)
+    }
+
+    /// The resolution slow path: hash, probe, and on a miss register the
+    /// series in first-occurrence order. Returns the producer slot index
+    /// (for the `submit` memo) and the handle. Free-standing over the
+    /// resolution fields so callers can hold the staging lock alongside.
     fn resolve_in(
         table: &mut KeyTable,
         slots: &mut Vec<ProducerSlot>,
-        last_slot: &mut Option<u32>,
         lanes: &[LaneLocal],
-        p: &DataPoint,
-    ) -> Option<(u32, u32)> {
-        if let Some(idx) = *last_slot {
-            if let Some(slot) = slots.get(idx as usize) {
-                if slot.metric == p.metric && slot.tags == p.tags {
-                    return Some((slot.lane, slot.r));
-                }
-            }
-        }
-        let hash = series_key_hash(&p.metric, &p.tags);
-        let idx = match table.probe(slots, hash, &p.metric, &p.tags) {
+        metric: &str,
+        tags: &TagSet,
+    ) -> Option<(u32, SeriesHandle)> {
+        let hash = series_key_hash(metric, tags);
+        let idx = match table.probe(slots, hash, metric, tags) {
             Some(idx) => idx,
             None => {
-                let lane = (hash % lanes.len() as u64) as u32;
+                let lane = (hash % lanes.len().max(1) as u64) as u32;
                 let shared = &lanes.get(lane as usize)?.shared;
                 let mut defs = shared.defs.lock();
                 let r = defs.len() as u32;
-                defs.push((p.metric.clone(), p.tags.clone()));
+                defs.push((metric.to_string(), tags.clone()));
                 drop(defs);
                 let idx = slots.len() as u32;
                 slots.push(ProducerSlot {
-                    metric: p.metric.clone(),
-                    tags: p.tags.clone(),
-                    lane,
-                    r,
+                    metric: metric.to_string(),
+                    tags: tags.clone(),
+                    handle: SeriesHandle { lane, r },
                 });
                 table.insert(hash, idx + 1);
                 idx
             }
         };
-        *last_slot = Some(idx);
-        let slot = slots.get(idx as usize)?;
-        Some((slot.lane, slot.r))
+        Some((idx, slots.get(idx as usize)?.handle))
     }
 
-    /// Submit a batch of points for ingest. Routes each point to its
-    /// owning shard's lane under the same FNV-1a series-key discipline as
-    /// [`ShardedTsdb::put_batch`] — resolved once per series, memoized
-    /// across runs — and pushes one compact run-structured batch per
-    /// touched lane. Returns the number of points accepted — all of them;
-    /// when a lane's unflushed budget is exhausted this blocks on that
-    /// lane's barrier (counted in `full_stalls`) rather than dropping
-    /// data.
+    /// Submit a batch of points for ingest. Resolves each point's series
+    /// (memoized across runs: consecutive points of one series cost one
+    /// key comparison), then stages it exactly as [`Self::submit_resolved`]
+    /// does. Routing follows the same FNV-1a series-key discipline as
+    /// [`ShardedTsdb::put_batch`]. Returns the number of points accepted —
+    /// all of them; when a lane's unflushed budget is exhausted this blocks
+    /// on that lane's barrier (counted in `full_stalls`) rather than
+    /// dropping data.
     pub fn submit(&mut self, points: &[DataPoint]) -> u64 {
-        if self.lanes.is_empty() {
-            return 0;
-        }
-        let mut staging = self.staging.lock();
-        for p in points {
-            let Some((lane, r)) = Self::resolve_in(
-                &mut self.table,
-                &mut self.slots,
-                &mut self.last_slot,
-                &self.lanes,
-                p,
-            ) else {
-                continue;
+        let (table, slots, last_slot, lanes) = (
+            &mut self.table,
+            &mut self.slots,
+            &mut self.last_slot,
+            &self.lanes,
+        );
+        let resolved = points.iter().filter_map(|p| {
+            let memo = last_slot
+                .and_then(|idx| slots.get(idx as usize))
+                .filter(|slot| slot.metric == p.metric && slot.tags == p.tags)
+                .map(|slot| slot.handle);
+            let handle = match memo {
+                Some(handle) => handle,
+                None => {
+                    let (idx, handle) = Self::resolve_in(table, slots, lanes, &p.metric, &p.tags)?;
+                    *last_slot = Some(idx);
+                    handle
+                }
             };
-            if let Some(stage) = staging.get_mut(lane as usize) {
+            Some((handle, p.time, p.value))
+        });
+        Self::stage(lanes, &self.staging, self.ship_points, resolved)
+    }
+
+    /// Submit `(handle, time, value)` triples for series already resolved
+    /// with [`Self::resolve`]: no strings, hashing or key comparison per
+    /// point. Non-finite values are dropped one by one, as
+    /// [`DataPoint::new`] rejects them. Returns the number of points
+    /// accepted; admission blocks exactly as [`Self::submit`] does.
+    pub fn submit_resolved(&mut self, points: &[(SeriesHandle, Timestamp, f64)]) -> u64 {
+        let finite = points.iter().copied().filter(|&(_, _, v)| v.is_finite());
+        Self::stage(&self.lanes, &self.staging, self.ship_points, finite)
+    }
+
+    /// The one staging loop behind both submit paths: append each point to
+    /// its lane's staged batch (extending the open run when the series
+    /// repeats), then ship every lane that reached `ship_points`. Returns
+    /// the number of points staged.
+    fn stage(
+        lanes: &[LaneLocal],
+        staging: &Mutex<Vec<LaneBatch>>,
+        ship_points: usize,
+        points: impl Iterator<Item = (SeriesHandle, Timestamp, f64)>,
+    ) -> u64 {
+        let mut staging = staging.lock();
+        let mut accepted = 0u64;
+        for (handle, time, value) in points {
+            if let Some(stage) = staging.get_mut(handle.lane as usize) {
                 match stage.runs.last_mut() {
-                    Some(run) if run.0 == r => run.1 += 1,
-                    _ => stage.runs.push((r, 1)),
+                    Some(run) if run.0 == handle.r => run.1 += 1,
+                    _ => stage.runs.push((handle.r, 1)),
                 }
-                stage.pts.push((p.time, p.value));
+                stage.pts.push((time, value));
+                accepted += 1;
             }
         }
-        for (i, lane) in self.lanes.iter().enumerate() {
-            let full_enough = staging
-                .get(i)
-                .is_some_and(|s| s.pts.len() >= self.ship_points);
-            if full_enough {
-                if let Some(stage) = staging.get_mut(i) {
-                    Self::ship(lane, stage);
-                }
+        for (lane, stage) in lanes.iter().zip(staging.iter_mut()) {
+            if stage.pts.len() >= ship_points {
+                Self::ship(lane, stage);
             }
         }
-        points.len() as u64
+        accepted
     }
 
     /// Hand one lane's staged batch to its writer: deterministic
@@ -858,6 +908,84 @@ mod tests {
             db.execute(&q).expect("db"),
             reference.execute(&q).expect("reference")
         );
+    }
+
+    fn device_tags(device: &str) -> TagSet {
+        [("device".to_string(), device.to_string())].into()
+    }
+
+    fn lane_defs(rt: &IngestRuntime) -> usize {
+        rt.lanes.iter().map(|l| l.shared.defs.lock().len()).sum()
+    }
+
+    #[test]
+    fn resolving_twice_returns_one_handle_and_one_definition() {
+        let registry = Registry::new();
+        let mut db = ShardedTsdb::with_chunk_size(4, 16);
+        db.attach_registry(&registry);
+        let mut rt = IngestRuntime::new(&db, &registry, IngestConfig::default());
+        let first = rt.resolve("m", &device_tags("n0"));
+        assert!(first.is_some());
+        assert_eq!(lane_defs(&rt), 1);
+        assert_eq!(rt.resolve("m", &device_tags("n0")), first);
+        assert_eq!(
+            lane_defs(&rt),
+            1,
+            "a known series logs no second definition"
+        );
+        // A point-path submit of the same series reuses the definition too.
+        rt.submit(&[dp("m", "n0", 0, 1.0)]);
+        assert_eq!(lane_defs(&rt), 1);
+        assert_ne!(rt.resolve("m", &device_tags("n1")), first);
+        assert_eq!(lane_defs(&rt), 2);
+    }
+
+    #[test]
+    fn resolve_rejects_names_outside_the_charset() {
+        let registry = Registry::new();
+        let mut db = ShardedTsdb::with_chunk_size(2, 16);
+        db.attach_registry(&registry);
+        let mut rt = IngestRuntime::new(&db, &registry, IngestConfig::default());
+        assert_eq!(rt.resolve("bad metric", &device_tags("n0")), None);
+        assert_eq!(rt.resolve("m", &device_tags("tromsø")), None);
+        assert_eq!(rt.resolve("", &TagSet::new()), None);
+        assert_eq!(lane_defs(&rt), 0);
+    }
+
+    #[test]
+    fn handle_submit_matches_point_submit_and_drops_non_finite() {
+        let run = |handles: bool| {
+            let registry = Registry::new();
+            let mut db = ShardedTsdb::with_chunk_size(4, 16);
+            db.attach_registry(&registry);
+            let mut rt = IngestRuntime::new(&db, &registry, IngestConfig::default());
+            let mut accepted = 0;
+            for i in 0..40i64 {
+                let v = match i % 7 {
+                    3 => f64::NAN,
+                    5 => f64::INFINITY,
+                    _ => i as f64,
+                };
+                for d in 0..5 {
+                    let device = format!("n{d}");
+                    accepted += if handles {
+                        match rt.resolve("m", &device_tags(&device)) {
+                            Some(h) => rt.submit_resolved(&[(h, Timestamp(i * 300), v)]),
+                            None => 0,
+                        }
+                    } else {
+                        let p = DataPoint::new("m", device_tags(&device), Timestamp(i * 300), v);
+                        p.map_or(0, |p| rt.submit(&[p]))
+                    };
+                }
+            }
+            rt.flush();
+            let q = Query::range("m", Timestamp(0), Timestamp(40 * 300)).group_by("device");
+            (accepted, db.stats(), db.execute(&q).expect("query"))
+        };
+        let via_points = run(false);
+        assert_eq!(via_points.0, 5 * (40 - 11));
+        assert_eq!(run(true), via_points);
     }
 
     #[test]

@@ -1,12 +1,14 @@
 //! Property: at a flush barrier, a [`ShardedTsdb`] fed through the staged
 //! [`IngestRuntime`] is observationally identical to one fed by direct
-//! `put_batch` calls — for *any* interleaving of batched writes, forced
+//! `put_batch` calls — for *any* interleaving of batched writes (through
+//! either submit path: `DataPoint`s or resolved series handles), forced
 //! seals, retention evictions, chunk-bit corruption, and injected writer
-//! crashes. The runtime is a performance structure; it must never leak
-//! into stats, queries, shard put counters, or chaos-flip targeting.
+//! crashes. Non-finite values are dropped identically on every path. The
+//! runtime is a performance structure; it must never leak into stats,
+//! queries, shard put counters, or chaos-flip targeting.
 
 use ctt_core::time::{Span, Timestamp};
-use ctt_ingest::{IngestConfig, IngestRuntime};
+use ctt_ingest::{IngestConfig, IngestRuntime, SeriesHandle};
 use ctt_obs::Registry;
 use ctt_tsdb::{Aggregator, DataPoint, Downsample, FillPolicy, Query, ShardedTsdb, TagSet};
 use proptest::prelude::*;
@@ -14,8 +16,12 @@ use proptest::prelude::*;
 /// One step of an interleaved workload, applied to both stores.
 #[derive(Debug, Clone)]
 enum Op {
-    /// Write a batch of points (metric idx, device idx, time, value).
+    /// Write a batch of points (metric idx, device idx, time, value); the
+    /// runtime takes them as `DataPoint`s.
     PutBatch(Vec<(u8, u8, i64, f64)>),
+    /// The same batch shape, submitted to the runtime as resolved
+    /// `(handle, time, value)` triples.
+    SubmitResolved(Vec<(u8, u8, i64, f64)>),
     /// Force-seal open buffers.
     SealAll,
     /// Drop everything strictly before the cutoff.
@@ -27,13 +33,23 @@ enum Op {
     ArmCrash(u8),
 }
 
+fn value_strategy() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        12 => -1e6f64..1e6,
+        1 => Just(f64::NAN),
+        1 => Just(f64::INFINITY),
+        1 => Just(f64::NEG_INFINITY),
+    ]
+}
+
+fn batch_strategy() -> impl Strategy<Value = Vec<(u8, u8, i64, f64)>> {
+    proptest::collection::vec((0u8..3, 0u8..5, 0i64..50_000, value_strategy()), 1..40)
+}
+
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
-        5 => proptest::collection::vec(
-            (0u8..3, 0u8..5, 0i64..50_000, -1e6f64..1e6),
-            1..40
-        )
-        .prop_map(Op::PutBatch),
+        3 => batch_strategy().prop_map(Op::PutBatch),
+        3 => batch_strategy().prop_map(Op::SubmitResolved),
         1 => Just(Op::SealAll),
         1 => (0i64..50_000).prop_map(Op::EvictBefore),
         1 => (0u8..20, 0u8..200).prop_map(|(c, b)| Op::FlipBit(c, b)),
@@ -45,14 +61,36 @@ fn metric_name(m: u8) -> String {
     format!("metric.{m}")
 }
 
-fn build_point(m: u8, d: u8, t: i64, v: f64) -> DataPoint {
-    DataPoint::new(
-        metric_name(m),
-        vec![("device".to_string(), format!("node{d}"))],
-        Timestamp(t),
-        v,
-    )
-    .expect("valid point")
+fn device_tags(d: u8) -> TagSet {
+    [("device".to_string(), format!("node{d}"))].into()
+}
+
+/// The reference batch: every spec through `DataPoint::new`, which drops
+/// the non-finite values.
+fn build_points(specs: &[(u8, u8, i64, f64)]) -> Vec<DataPoint> {
+    specs
+        .iter()
+        .filter_map(|&(m, d, t, v)| {
+            DataPoint::new(metric_name(m), device_tags(d), Timestamp(t), v).ok()
+        })
+        .collect()
+}
+
+/// The handle batch: every spec resolved to its series handle, values
+/// passed through unfiltered.
+fn resolve_triples(
+    rt: &mut IngestRuntime,
+    specs: &[(u8, u8, i64, f64)],
+) -> Vec<(SeriesHandle, Timestamp, f64)> {
+    specs
+        .iter()
+        .map(|&(m, d, t, v)| {
+            let handle = rt
+                .resolve(&metric_name(m), &device_tags(d))
+                .expect("valid series");
+            (handle, Timestamp(t), v)
+        })
+        .collect()
 }
 
 fn queries() -> Vec<Query> {
@@ -96,12 +134,15 @@ proptest! {
         for op in &ops {
             match op {
                 Op::PutBatch(specs) => {
-                    let batch: Vec<DataPoint> = specs
-                        .iter()
-                        .map(|&(m, d, t, v)| build_point(m, d, t, v))
-                        .collect();
+                    let batch = build_points(specs);
                     let a = direct.put_batch(&batch);
                     let b = rt.submit(&batch);
+                    prop_assert_eq!(a, b, "accepted counts diverged");
+                }
+                Op::SubmitResolved(specs) => {
+                    let a = direct.put_batch(&build_points(specs));
+                    let triples = resolve_triples(&mut rt, specs);
+                    let b = rt.submit_resolved(&triples);
                     prop_assert_eq!(a, b, "accepted counts diverged");
                 }
                 Op::SealAll => {
@@ -135,8 +176,7 @@ proptest! {
 
         for m in 0..3u8 {
             for d in 0..5u8 {
-                let tags: TagSet =
-                    [("device".to_string(), format!("node{d}"))].into();
+                let tags = device_tags(d);
                 let a = direct.read_series(
                     &metric_name(m), &tags, Timestamp(0), Timestamp(i64::MAX));
                 let b = staged.read_series(

@@ -30,14 +30,15 @@ use ctt_core::scenario::ScenarioSet;
 use ctt_core::time::{Span, Timestamp};
 use ctt_core::units::Dbm;
 use ctt_dataport::{AlarmKind, Dataport, DataportConfig};
-use ctt_ingest::{IngestConfig, IngestRuntime};
+use ctt_ingest::{IngestConfig, IngestRuntime, SeriesHandle};
 use ctt_lorawan::{
     collision_horizon, DataRate, GatewayConfig, LinkBackoff, NetworkServer, RadioSimulator,
     SimConfig, TxRequest, UplinkFrame, UplinkRecord,
 };
 use ctt_obs::{Counter, FlightRecorder, Registry, Snapshot};
 use ctt_sim::{EventKey, EventQueue, QueueObs, Schedulable, SimClock};
-use ctt_tsdb::{Aggregator, BitFlipOutcome, DataPoint, Query, ShardedTsdb, DEFAULT_SHARDS};
+use ctt_tsdb::model::is_valid_name;
+use ctt_tsdb::{Aggregator, BitFlipOutcome, Query, ShardedTsdb, TagSet, DEFAULT_SHARDS};
 use std::collections::{HashMap, VecDeque};
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -212,6 +213,52 @@ impl SimEvent {
     }
 }
 
+/// Link-quality metric for the network dashboards, stored beside the
+/// eight sensed quantities.
+const RSSI_METRIC: &str = "ctt.net.rssi";
+
+/// Series each decoded uplink writes: [`Quantity::ALL`] in order, then
+/// [`RSSI_METRIC`].
+const SERIES_PER_UPLINK: usize = Quantity::ALL.len() + 1;
+
+/// A city's `city` tag value: ASCII-lowercased, with every character
+/// outside the OpenTSDB name charset mapped to `_`, so every point of a
+/// city with a non-ASCII name still validates. Equal to `to_lowercase()`
+/// on names such as `Trondheim`, `Vejle` and `City<i>`.
+fn city_slug(city: &str) -> String {
+    city.chars()
+        .map(|c| c.to_ascii_lowercase())
+        .map(|c| {
+            if is_valid_name(c.encode_utf8(&mut [0; 4])) {
+                c
+            } else {
+                '_'
+            }
+        })
+        .collect()
+}
+
+/// Turn one decoded uplink into `(handle, time, value)` triples, appended
+/// to the batch the storage stage submits in one call. The handles zip
+/// with the values in [`SERIES_PER_UPLINK`] order; the runtime drops
+/// non-finite values one by one, as `DataPoint::new` rejected them.
+fn collect_points(
+    handles: &[SeriesHandle; SERIES_PER_UPLINK],
+    event: &UplinkEvent,
+    reading: &SensorReading,
+    skew: Span,
+    out: &mut Vec<(SeriesHandle, Timestamp, f64)>,
+) {
+    // Clock skew perturbs only the stored timestamps — the twins (and
+    // the ledger key) still see the uplink's transport time.
+    let at = event.time + skew;
+    let values = Quantity::ALL
+        .iter()
+        .map(|&q| reading.value(q))
+        .chain(std::iter::once(event.rssi_dbm));
+    out.extend(handles.iter().zip(values).map(|(&h, v)| (h, at, v)));
+}
+
 /// The assembled city pipeline.
 #[derive(Debug)]
 pub struct Pipeline {
@@ -230,6 +277,9 @@ pub struct Pipeline {
     /// lane per shard. All pipeline writes go through it; every read path
     /// crosses a flush barrier first, so replay stays byte-identical.
     ingest: IngestRuntime,
+    /// Each device's series handles, resolved at its first decoded uplink
+    /// (see [`SERIES_PER_UPLINK`] for the order).
+    series: HashMap<DevEui, [SeriesHandle; SERIES_PER_UPLINK]>,
     /// Worker pool for the storage consumer's decode stage. Results are
     /// merged in delivery order, so replay stays byte-identical.
     decode_pool: OrderedPool<Arc<Vec<u8>>, DecodeOutcome>,
@@ -237,6 +287,7 @@ pub struct Pipeline {
     pub dataport: Dataport,
     radio_state: HashMap<DevEui, RadioState>,
     scenario: ScenarioSet,
+    /// The `city` tag value, derived by [`city_slug`].
     city_slug: String,
     /// The single monotone simulation clock, advanced only by dispatch.
     clock: SimClock,
@@ -310,7 +361,7 @@ impl Pipeline {
         for g in &deployment.gateways {
             dataport.register_gateway(g.id);
         }
-        let city_slug = deployment.city.to_lowercase();
+        let city_slug = city_slug(&deployment.city);
         let start = deployment.started;
         let node_index = deployment
             .nodes
@@ -340,6 +391,7 @@ impl Pipeline {
             storage_sub,
             tsdb,
             ingest,
+            series: HashMap::new(),
             decode_pool: OrderedPool::new(decode_workers(), decode_delivery),
             dataport,
             radio_state: HashMap::new(),
@@ -1129,7 +1181,7 @@ impl Pipeline {
         // serial apply below is byte-identical to the old inline loop.
         let decoded = self.decode_pool.map(batch);
         // Stage 3 (serial): ledger, twins, and one batched TSDB write.
-        let mut points: Vec<DataPoint> = Vec::with_capacity(decoded.len() * 9);
+        let mut points = Vec::with_capacity(decoded.len() * SERIES_PER_UPLINK);
         for outcome in decoded {
             match outcome {
                 DecodeOutcome::BadEvent => {
@@ -1146,8 +1198,12 @@ impl Pipeline {
                         .as_ref()
                         .and_then(|c| c.clock_skew(event.device, event.time))
                         .unwrap_or(Span::seconds(0));
-                    self.collect_points(&event, &reading, skew, &mut points);
-                    self.ledger.stored(event.device, event.time);
+                    // An uplink whose series cannot be resolved is not
+                    // stored, so the ledger keeps it in flight.
+                    if let Some(handles) = self.device_series_handles(event.device) {
+                        collect_points(&handles, &event, &reading, skew, &mut points);
+                        self.ledger.stored(event.device, event.time);
+                    }
                     self.dataport.on_uplink(
                         event.device,
                         event.time,
@@ -1158,7 +1214,7 @@ impl Pipeline {
                 }
             }
         }
-        self.stats.points_stored += self.ingest.submit(&points);
+        self.stats.points_stored += self.ingest.submit_resolved(&points);
         // Queue headroom opened: pull back QoS1 deliveries deferred while
         // it was full. One round per pass — a scheduled drain picks up
         // whatever is still deferred.
@@ -1181,46 +1237,34 @@ impl Pipeline {
         }
     }
 
-    /// Turn one decoded uplink into its TSDB points, appended to the batch
-    /// the storage stage writes with one `put_batch` call.
-    fn collect_points(
-        &self,
-        event: &UplinkEvent,
-        reading: &SensorReading,
-        skew: Span,
-        out: &mut Vec<DataPoint>,
-    ) {
-        // Clock skew perturbs only the stored timestamps — the twins (and
-        // the ledger key) still see the uplink's transport time.
-        let at = event.time + skew;
-        let device_tag = format!("{:016x}", event.device.0);
-        for q in Quantity::ALL {
-            let point = DataPoint::new(
-                q.metric_name(),
-                vec![
-                    ("city".to_string(), self.city_slug.clone()),
-                    ("device".to_string(), device_tag.clone()),
-                ],
-                at,
-                reading.value(q),
-            );
-            if let Ok(p) = point {
-                out.push(p);
-            }
+    /// A device's series handles, resolved through the ingest runtime at
+    /// its first decoded uplink and cached for every later one. Resolving
+    /// in first-uplink order keeps each lane's definition log in the order
+    /// point-by-point resolution produced. `None` when a tag falls outside
+    /// the OpenTSDB charset (the city slug and hex EUI never do).
+    fn device_series_handles(
+        &mut self,
+        device: DevEui,
+    ) -> Option<[SeriesHandle; SERIES_PER_UPLINK]> {
+        if let Some(handles) = self.series.get(&device) {
+            return Some(*handles);
         }
-        // Link-quality metrics for the network dashboards.
-        let rssi = DataPoint::new(
-            "ctt.net.rssi",
-            vec![
-                ("city".to_string(), self.city_slug.clone()),
-                ("device".to_string(), device_tag),
-            ],
-            at,
-            event.rssi_dbm,
-        );
-        if let Ok(p) = rssi {
-            out.push(p);
+        let tags: TagSet = [
+            ("city".to_string(), self.city_slug.clone()),
+            ("device".to_string(), format!("{:016x}", device.0)),
+        ]
+        .into();
+        let metrics = Quantity::ALL
+            .iter()
+            .map(|q| q.metric_name())
+            .chain(std::iter::once(RSSI_METRIC.to_string()));
+        let mut resolved = Vec::with_capacity(SERIES_PER_UPLINK);
+        for metric in metrics {
+            resolved.push(self.ingest.resolve(&metric, &tags)?);
         }
+        let handles: [SeriesHandle; SERIES_PER_UPLINK] = resolved.try_into().ok()?;
+        self.series.insert(device, handles);
+        Some(handles)
     }
 
     /// Query one device's series for a quantity over `[from, to)` at the
@@ -1324,6 +1368,33 @@ mod tests {
         assert!(verdict.is_balanced(), "{verdict:?}");
         assert_eq!(verdict.produced, st.readings);
         assert_eq!(verdict.stored, st.delivered);
+    }
+
+    #[test]
+    fn non_ascii_city_stores_what_the_ledger_says() {
+        let mut d = Deployment::trondheim();
+        d.city = "Tromsø".to_string();
+        let mut p = Pipeline::new(d, 7);
+        let start = p.deployment.started;
+        p.run_until(start + Span::days(1));
+        let st = p.stats();
+        assert!(st.points_stored > 0, "{st:?}");
+        assert_eq!(p.tsdb.stats().points, st.points_stored);
+        assert_eq!(st.points_stored, st.delivered * 9);
+        let verdict = p.ledger().verify();
+        assert!(verdict.is_balanced(), "{verdict:?}");
+        assert_eq!(verdict.stored, st.delivered);
+        let co2 = Quantity::Pollutant(Pollutant::Co2);
+        assert!(!p.city_series(co2, start, start + Span::days(1)).is_empty());
+    }
+
+    #[test]
+    fn city_slug_maps_into_the_tag_charset() {
+        assert_eq!(city_slug("Trondheim"), "trondheim");
+        assert_eq!(city_slug("Vejle"), "vejle");
+        assert_eq!(city_slug("City17"), "city17");
+        assert_eq!(city_slug("Tromsø"), "troms_");
+        assert_eq!(city_slug("Ål Sør"), "_l_s_r");
     }
 
     #[test]

@@ -41,7 +41,7 @@ for workload in trondheim_week vejle_spike; do
     tail -n 1 target/bench_e2e_smoke.txt | cut -c 1-160
 done
 
-echo "==> criterion smoke benches (BENCH_ingest / BENCH_query / BENCH_query_multiuser / BENCH_scheduler / BENCH_obs)"
+echo "==> criterion smoke benches (BENCH_ingest / BENCH_query / BENCH_query_multiuser / BENCH_scheduler / BENCH_obs / BENCH_overload / BENCH_broker)"
 # The scheduler bench scales to the 100-city fleet shape: flat-queue vs
 # sharded slice dispatch at 2k/20k/100k nodes (setup untimed), alongside
 # the small-N min-scan comparison.
@@ -60,10 +60,14 @@ CRITERION_SAMPLES=10 CRITERION_JSON="$REPO_ROOT/BENCH_obs.json" \
     cargo bench --offline -q -p ctt-bench --bench obs_overhead
 CRITERION_SAMPLES=10 CRITERION_JSON="$REPO_ROOT/BENCH_overload.json" \
     cargo bench --offline -q -p ctt-bench --bench overload
+# Ungated: broker fan-out/routing plus the pipeline-shaped bridge_uplink
+# group (encode, decode, publish → recv → ack → decode).
+CRITERION_SAMPLES=10 CRITERION_JSON="$REPO_ROOT/BENCH_broker.json" \
+    cargo bench --offline -q -p ctt-bench --bench broker
 
-echo "==> bench_check (reports well-formed; ingest + query + multiuser + scheduler incl. 12-node and 100k-node gates + obs-overhead + overload)"
+echo "==> bench_check (reports well-formed; ingest + query + multiuser + scheduler incl. 12-node and 100k-node gates + obs-overhead + overload; broker ungated)"
 cargo run --offline -q --release -p ctt-bench --bin bench_check \
     BENCH_ingest.json BENCH_query.json BENCH_query_multiuser.json \
-    BENCH_scheduler.json BENCH_obs.json BENCH_overload.json
+    BENCH_scheduler.json BENCH_obs.json BENCH_overload.json BENCH_broker.json
 
 echo "CI: all green"

@@ -12,7 +12,18 @@ use crate::message::{Message, QoS};
 use crate::topic::{Topic, TopicFilter};
 use ctt_core::ids::{DevEui, GatewayId};
 use ctt_core::time::{Span, Timestamp};
-use std::fmt;
+use std::borrow::Cow;
+use std::fmt::{self, Write as _};
+
+/// Capacity reserved for an encoded line besides the city and the payload
+/// hex: the field keys, two 16-digit EUIs, and room for the widest
+/// integers and radio-range one-decimal floats. Only a hint: a longer
+/// line (say, an absurd RSSI) grows the buffer as usual.
+const ENCODED_FIXED_LEN: usize = 160;
+
+/// Length of a topic besides the city level: the fixed levels plus a
+/// 20-digit decimal device EUI.
+const TOPIC_FIXED_LEN: usize = 40;
 
 /// An uplink event as carried over MQTT.
 #[derive(Debug, Clone, PartialEq)]
@@ -51,51 +62,69 @@ impl fmt::Display for BridgeDecodeError {
 
 impl std::error::Error for BridgeDecodeError {}
 
-fn hex_encode(bytes: &[u8]) -> String {
-    bytes.iter().map(|b| format!("{b:02x}")).collect()
+/// Lower-case hex digit for a nibble (`n < 16`).
+fn hex_digit(n: u8) -> char {
+    char::from(if n < 10 { b'0' + n } else { b'a' + (n - 10) })
 }
 
+/// Value of one hex digit, either case.
+fn hex_value(c: u8) -> Option<u8> {
+    match c {
+        b'0'..=b'9' => Some(c - b'0'),
+        b'a'..=b'f' => Some(c - b'a' + 10),
+        b'A'..=b'F' => Some(c - b'A' + 10),
+        _ => None,
+    }
+}
+
+/// Decode a hex string into bytes: an even number of `[0-9a-fA-F]`
+/// digits, nothing else (no sign, no whitespace, no multi-byte chars).
 fn hex_decode(s: &str) -> Result<Vec<u8>, BridgeDecodeError> {
     if !s.len().is_multiple_of(2) {
         return Err(BridgeDecodeError(format!("odd hex length {}", s.len())));
     }
-    (0..s.len())
-        .step_by(2)
-        .map(|i| {
-            // `get` rather than slicing: a multi-byte char in the input
-            // would make `i..i + 2` a non-boundary slice and panic.
-            s.get(i..i + 2)
-                .and_then(|pair| u8::from_str_radix(pair, 16).ok())
-                .ok_or_else(|| BridgeDecodeError(format!("bad hex at {i}")))
-        })
-        .collect()
+    let mut out = Vec::with_capacity(s.len() / 2);
+    for (i, pair) in s.as_bytes().chunks_exact(2).enumerate() {
+        let byte = match *pair {
+            [hi, lo] => hex_value(hi).zip(hex_value(lo)).map(|(h, l)| (h << 4) | l),
+            _ => None,
+        };
+        out.push(byte.ok_or_else(|| BridgeDecodeError(format!("bad hex at {}", 2 * i)))?);
+    }
+    Ok(out)
 }
 
 /// Replace characters that are illegal inside a single topic level.
 ///
 /// City names are operator input; a `+`, `#`, or `/` in one must not be able
 /// to corrupt the topic scheme (or panic topic construction).
-fn sanitize_level(s: &str) -> String {
-    let cleaned: String = s
-        .chars()
-        .map(|c| if matches!(c, '+' | '#' | '/') { '_' } else { c })
-        .collect();
-    if cleaned.is_empty() {
-        "unknown".to_string()
-    } else {
-        cleaned
+fn sanitize_level(s: &str) -> Cow<'_, str> {
+    if s.is_empty() {
+        return Cow::Borrowed("unknown");
     }
+    if !s.contains(['+', '#', '/']) {
+        return Cow::Borrowed(s);
+    }
+    Cow::Owned(
+        s.chars()
+            .map(|c| if matches!(c, '+' | '#' | '/') { '_' } else { c })
+            .collect(),
+    )
 }
 
 impl UplinkEvent {
     /// Topic this event is published to:
     /// `ctt/{city}/devices/{dev-eui}/up`.
     pub fn topic(&self) -> Topic {
-        Topic::from_sanitized(format!(
+        let mut topic = String::with_capacity(TOPIC_FIXED_LEN + self.city.len());
+        // Formatting into a `String` cannot fail.
+        let _ = write!(
+            topic,
             "ctt/{}/devices/{}/up",
             sanitize_level(&self.city),
             self.device.0
-        ))
+        );
+        Topic::from_sanitized(topic)
     }
 
     /// Subscription filter for all uplinks of a city.
@@ -108,10 +137,17 @@ impl UplinkEvent {
         TopicFilter::from_sanitized("ctt/+/devices/+/up".to_string())
     }
 
-    /// Encode to the line format.
+    /// Encode to the line format:
+    /// `v1 city=… dev=… fcnt=… port=… time=… gw=… rssi=… snr=… gws=… data=…`,
+    /// with the EUIs and payload in lower-case hex and RSSI/SNR to one
+    /// decimal. Written once into a buffer sized for the whole line.
     pub fn encode(&self) -> Vec<u8> {
-        format!(
-            "v1 city={} dev={:016x} fcnt={} port={} time={} gw={:016x} rssi={:.1} snr={:.1} gws={} data={}",
+        let mut line =
+            String::with_capacity(ENCODED_FIXED_LEN + self.city.len() + 2 * self.payload.len());
+        // Formatting into a `String` cannot fail.
+        let _ = write!(
+            line,
+            "v1 city={} dev={:016x} fcnt={} port={} time={} gw={:016x} rssi={:.1} snr={:.1} gws={} data=",
             self.city,
             self.device.0,
             self.fcnt,
@@ -121,9 +157,12 @@ impl UplinkEvent {
             self.rssi_dbm,
             self.snr_db,
             self.gateway_count,
-            hex_encode(&self.payload),
-        )
-        .into_bytes()
+        );
+        for &b in &self.payload {
+            line.push(hex_digit(b >> 4));
+            line.push(hex_digit(b & 0x0f));
+        }
+        line.into_bytes()
     }
 
     /// Decode from the line format.
@@ -493,10 +532,17 @@ mod tests {
 
     #[test]
     fn hex_codec() {
-        assert_eq!(hex_encode(&[0x00, 0xFF, 0x1a]), "00ff1a");
+        let mut e = event();
+        e.payload = vec![0x00, 0xFF, 0x1a];
+        assert!(String::from_utf8(e.encode())
+            .unwrap()
+            .ends_with(" data=00ff1a"));
         assert_eq!(hex_decode("00ff1a").unwrap(), vec![0x00, 0xFF, 0x1a]);
+        assert_eq!(hex_decode("00FF1A").unwrap(), vec![0x00, 0xFF, 0x1a]);
         assert!(hex_decode("0f0").is_err());
         assert!(hex_decode("zz").is_err());
+        // Digits only: `u8::from_str_radix` would take `+f` as 0x0f.
+        assert!(hex_decode("+f+f").is_err());
         // Multi-byte chars used to panic on the non-boundary slice.
         assert!(hex_decode("日日").is_err());
         assert!(hex_decode("¡¡").is_err());

@@ -130,16 +130,16 @@ impl TrieNode {
         }
     }
 
-    fn collect(&self, levels: &[&str], out: &mut Vec<SubscriptionId>) {
+    fn collect(&self, mut levels: std::str::Split<'_, char>, out: &mut Vec<SubscriptionId>) {
         out.extend_from_slice(&self.hash_subs);
-        match levels.split_first() {
+        match levels.next() {
             None => out.extend_from_slice(&self.subs),
-            Some((first, rest)) => {
-                if let Some(child) = self.children.get(*first) {
-                    child.collect(rest, out);
+            Some(level) => {
+                if let Some(child) = self.children.get(level) {
+                    child.collect(levels.clone(), out);
                 }
                 if let Some(plus) = &self.plus {
-                    plus.collect(rest, out);
+                    plus.collect(levels, out);
                 }
             }
         }
@@ -211,6 +211,9 @@ struct Inner {
     retained: BTreeMap<String, Message>,
     next_id: u64,
     stats: BrokerStats,
+    /// Routing scratch: the subscription ids one publish matched. Kept
+    /// across publishes so routing allocates nothing in steady state.
+    route: Vec<SubscriptionId>,
     /// Where per-subscriber counters are registered. A private (default)
     /// registry when the broker runs standalone; shared via
     /// [`Broker::with_registry`] when embedded in an instrumented pipeline.
@@ -354,6 +357,22 @@ impl Broker {
         inner.stats.subscriptions = inner.sessions.len();
     }
 
+    /// The next packet id, in wrapping order from `next_pid`, that is not
+    /// still in flight; `None` when all 65,535 ids are.
+    fn allocate_pid(session: &mut Session) -> Option<u16> {
+        if session.inflight.len() >= usize::from(u16::MAX) {
+            return None;
+        }
+        for _ in 0..u16::MAX {
+            let pid = session.next_pid;
+            session.next_pid = pid.wrapping_add(1).max(1);
+            if !session.inflight.contains_key(&pid) {
+                return Some(pid);
+            }
+        }
+        None
+    }
+
     fn deliver_to(
         session: &mut Session,
         message: Message,
@@ -376,8 +395,13 @@ impl Broker {
             }
         }
         let packet_id = if effective == QoS::AtLeastOnce {
-            let pid = session.next_pid;
-            session.next_pid = session.next_pid.wrapping_add(1).max(1);
+            let Some(pid) = Self::allocate_pid(session) else {
+                // All 65,535 packet ids are unacked: reusing one would
+                // overwrite (silently lose) the message stored under it.
+                stats.shed += 1;
+                session.counters.shed.inc();
+                return DeliverOutcome::Shed;
+            };
             session.inflight.insert(pid, message.clone());
             let depth = i64::try_from(session.inflight.len()).unwrap_or(i64::MAX);
             session.counters.inflight_hw.raise_to(depth);
@@ -429,20 +453,19 @@ impl Broker {
             }
             inner.stats.retained = inner.retained.len();
         }
-        let levels: Vec<&str> = message.topic.levels().collect();
-        let mut ids = Vec::new();
-        inner.trie.collect(&levels, &mut ids);
+        let inner = &mut *inner;
+        let ids = &mut inner.route;
+        ids.clear();
+        inner.trie.collect(message.topic.as_str().split('/'), ids);
         ids.sort_unstable();
         ids.dedup();
         let mut outcome = PublishOutcome {
             routed: ids.len(),
             ..PublishOutcome::default()
         };
-        // Split borrows: move stats out, restore after.
-        let mut stats = inner.stats;
-        for id in ids {
-            if let Some(session) = inner.sessions.get_mut(&id) {
-                match Self::deliver_to(session, message.clone(), &mut stats) {
+        for id in ids.iter() {
+            if let Some(session) = inner.sessions.get_mut(id) {
+                match Self::deliver_to(session, message.clone(), &mut inner.stats) {
                     DeliverOutcome::Enqueued => outcome.enqueued += 1,
                     DeliverOutcome::Deferred => outcome.deferred_qos1 += 1,
                     DeliverOutcome::Dropped => outcome.dropped_qos0 += 1,
@@ -451,7 +474,6 @@ impl Broker {
                 }
             }
         }
-        inner.stats = stats;
         outcome
     }
 
@@ -507,14 +529,13 @@ impl Broker {
     /// across all subscriptions.
     pub fn redeliver_deferred(&self) -> usize {
         let mut inner = self.inner.lock();
-        // BTreeMap keys are already subscription order (replay determinism).
-        let ids: Vec<SubscriptionId> = inner.sessions.keys().copied().collect();
+        if inner.sessions.values().all(|s| s.deferred.is_empty()) {
+            return 0;
+        }
         let mut n = 0;
         let mut redelivered = 0u64;
-        for id in ids {
-            let Some(session) = inner.sessions.get_mut(&id) else {
-                continue;
-            };
+        // BTreeMap values are already subscription order (replay determinism).
+        for session in inner.sessions.values_mut() {
             let pending = std::mem::take(&mut session.deferred);
             for pid in pending {
                 // Acked while deferred: nothing left to deliver.
@@ -852,6 +873,58 @@ mod tests {
         }
         assert_eq!(seen, vec!["a", "b", "c"]);
         assert_eq!(b.inflight_count(s.id), 0);
+    }
+
+    #[test]
+    fn qos1_packet_ids_in_flight_are_never_reused() {
+        let registry = Registry::new();
+        let b = Broker::with_registry(registry.clone());
+        let s = b.subscribe(filter("t"), QoS::AtLeastOnce, 1 << 17);
+        let ids = usize::from(u16::MAX);
+        let publish =
+            |i: usize| b.publish_with_outcome(msg("t", &i.to_string()).with_qos(QoS::AtLeastOnce));
+        // Every packet id is taken: two more publishes must be shed, not
+        // stored over (and so silently replace) unacked messages.
+        let mut shed = Vec::new();
+        for i in 0..ids + 2 {
+            if publish(i).shed == 1 {
+                shed.push(i);
+            }
+        }
+        assert_eq!(shed, vec![ids, ids + 1]);
+        assert_eq!(b.inflight_count(s.id), ids);
+        assert_eq!(b.subscriber_stats(s.id).unwrap().shed, 2);
+        assert_eq!(
+            registry.snapshot(Timestamp(0)).value("broker.sub0.shed"),
+            Some(2)
+        );
+        // Take three deliveries, ack only the third: the next publish
+        // skips the two ids still in flight.
+        let first: Vec<Delivery> = (0..3).map(|_| s.try_recv().unwrap()).collect();
+        assert!(b.ack(s.id, first[2].packet_id.unwrap()));
+        assert_eq!(publish(ids + 2).shed, 0);
+        // Every message is received exactly once or was counted as shed.
+        let mut seen = vec![0u32; ids + 3];
+        let mut count = |d: &Delivery| {
+            let i: usize = d.message.payload_str().unwrap().parse().unwrap();
+            seen[i] += 1;
+        };
+        count(&first[2]);
+        for d in &first[..2] {
+            assert!(b.ack(s.id, d.packet_id.unwrap()));
+            count(d);
+        }
+        while let Some(d) = s.try_recv() {
+            if b.ack(s.id, d.packet_id.unwrap()) {
+                count(&d);
+            }
+        }
+        assert_eq!(b.redeliver_deferred(), 0);
+        assert_eq!(b.inflight_count(s.id), 0);
+        for (i, n) in seen.iter().enumerate() {
+            let expected = u32::from(!shed.contains(&i));
+            assert_eq!(*n, expected, "message {i}");
+        }
     }
 
     #[test]

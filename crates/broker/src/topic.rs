@@ -5,10 +5,12 @@
 //! wildcard `#` (only as the final level), with MQTT 3.1.1 matching rules.
 
 use std::fmt;
+use std::sync::Arc;
 
-/// A concrete topic name (no wildcards).
+/// A concrete topic name (no wildcards). Shared, so the per-subscriber
+/// copies a publish makes cost a reference-count bump, not a string copy.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct Topic(String);
+pub struct Topic(Arc<str>);
 
 /// A subscription filter (may contain wildcards).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -50,7 +52,7 @@ impl Topic {
         if s.contains('+') || s.contains('#') {
             return Err(TopicError::WildcardInTopic);
         }
-        Ok(Topic(s))
+        Ok(Topic(s.into()))
     }
 
     /// Crate-internal infallible constructor for topics assembled from
@@ -58,7 +60,7 @@ impl Topic {
     /// debug-asserted; release builds trust the caller.
     pub(crate) fn from_sanitized(s: String) -> Topic {
         debug_assert!(Topic::new(s.as_str()).is_ok(), "unsanitized topic: {s:?}");
-        Topic(s)
+        Topic(s.into())
     }
 
     /// The topic string.

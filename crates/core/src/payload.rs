@@ -116,30 +116,37 @@ pub fn decode(
     device: DevEui,
     time: Timestamp,
 ) -> Result<SensorReading, PayloadError> {
-    if bytes.len() != PAYLOAD_LEN {
+    // Destructured rather than indexed: the length check is the only
+    // bounds check, and nothing below can panic.
+    let Ok(
+        [version, co2_hi, co2_lo, no2_hi, no2_lo, pm25_hi, pm25_lo, pm10_hi, pm10_lo, temp_hi, temp_lo, pres_hi, pres_lo, humidity, battery, crc_hi, crc_lo, _reserved],
+    ) = <[u8; PAYLOAD_LEN]>::try_from(bytes)
+    else {
         return Err(PayloadError::BadLength(bytes.len()));
+    };
+    if version != PAYLOAD_VERSION {
+        return Err(PayloadError::BadVersion(version));
     }
-    if bytes[0] != PAYLOAD_VERSION {
-        return Err(PayloadError::BadVersion(bytes[0]));
-    }
-    let stored = u16::from_be_bytes([bytes[15], bytes[16]]);
-    let computed = crc16_ccitt(&bytes[0..15]);
+    let stored = u16::from_be_bytes([crc_hi, crc_lo]);
+    let computed = crc16_ccitt(&[
+        version, co2_hi, co2_lo, no2_hi, no2_lo, pm25_hi, pm25_lo, pm10_hi, pm10_lo, temp_hi,
+        temp_lo, pres_hi, pres_lo, humidity, battery,
+    ]);
     if stored != computed {
         return Err(PayloadError::BadCrc { computed, stored });
     }
-    let u16_at = |i: usize| f64::from(u16::from_be_bytes([bytes[i], bytes[i + 1]]));
-    let i16_at = |i: usize| f64::from(i16::from_be_bytes([bytes[i], bytes[i + 1]]));
+    let u16_be = |hi, lo| f64::from(u16::from_be_bytes([hi, lo]));
     Ok(SensorReading {
         device,
         time,
-        co2_ppm: u16_at(1) / 10.0,
-        no2_ppb: u16_at(3) / 10.0,
-        pm25_ug_m3: u16_at(5) / 10.0,
-        pm10_ug_m3: u16_at(7) / 10.0,
-        temperature_c: i16_at(9) / 100.0,
-        pressure_hpa: u16_at(11) / 10.0 + 500.0,
-        humidity_pct: f64::from(bytes[13]) / 2.0,
-        battery_pct: f64::from(bytes[14]) / 2.0,
+        co2_ppm: u16_be(co2_hi, co2_lo) / 10.0,
+        no2_ppb: u16_be(no2_hi, no2_lo) / 10.0,
+        pm25_ug_m3: u16_be(pm25_hi, pm25_lo) / 10.0,
+        pm10_ug_m3: u16_be(pm10_hi, pm10_lo) / 10.0,
+        temperature_c: f64::from(i16::from_be_bytes([temp_hi, temp_lo])) / 100.0,
+        pressure_hpa: u16_be(pres_hi, pres_lo) / 10.0 + 500.0,
+        humidity_pct: f64::from(humidity) / 2.0,
+        battery_pct: f64::from(battery) / 2.0,
     })
 }
 

@@ -19,8 +19,8 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 /// The machine's available parallelism clamped to `[lo, hi]` — the single
-/// worker-width policy for every fixed-size pool in the workspace (the
-/// pipeline's decode stage, sharded query collection, bench fan-outs), so a
+/// worker-width policy for every fixed-size pool in the workspace (fleet
+/// slice dispatch, sharded query collection, bench fan-outs), so a
 /// fleet of test pipelines cannot oversubscribe the host. Falls back to
 /// `lo` when the parallelism cannot be determined.
 pub fn worker_width(lo: usize, hi: usize) -> usize {

@@ -204,7 +204,12 @@ impl Default for LintConfig {
                 ("QueryCache".into(), "get_collection".into()),
                 ("QueryCache".into(), "put_collection".into()),
                 ("EventQueue".into(), "pop".into()),
+                // The TTN hand-off: every uplink is encoded, given a
+                // topic, decoded and acked.
+                ("UplinkEvent".into(), "encode".into()),
+                ("UplinkEvent".into(), "topic".into()),
                 ("UplinkEvent".into(), "decode".into()),
+                ("Broker".into(), "ack".into()),
                 // Backpressure paths: drain dispatch and bridge admission
                 // run on every overloaded tick.
                 ("Broker".into(), "redeliver_deferred".into()),

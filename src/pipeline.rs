@@ -16,7 +16,6 @@
 //! pinned key is what makes `run_until(a); run_until(b)` replay exactly
 //! like `run_until(b)`.
 
-use crate::parallel::{worker_width, OrderedPool};
 use ctt_broker::{Admission, AdmissionControl, Broker, QoS, RetryPolicy, Subscriber, UplinkEvent};
 use ctt_chaos::{CauseCode, ChaosEngine, FaultPlan, FrameFault, InjectionStats, LossLedger};
 use ctt_core::deployment::Deployment;
@@ -41,7 +40,6 @@ use ctt_tsdb::model::is_valid_name;
 use ctt_tsdb::{Aggregator, BitFlipOutcome, Query, ShardedTsdb, TagSet, DEFAULT_SHARDS};
 use std::collections::{HashMap, VecDeque};
 use std::fmt::Write as _;
-use std::sync::Arc;
 
 /// Pipeline counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -79,44 +77,6 @@ impl Default for RadioState {
             backoff: LinkBackoff::new(4),
         }
     }
-}
-
-/// What the parallel decode stage produced for one delivery, in delivery
-/// order. Decoding is pure, so fanning it out to workers cannot perturb
-/// replay; everything stateful stays in the serial apply stage.
-#[derive(Debug)]
-enum DecodeOutcome {
-    /// Event + payload decoded; ready to store.
-    Decoded(Box<(UplinkEvent, SensorReading)>),
-    /// The event envelope decoded but the sensor payload did not.
-    BadPayload {
-        /// Device the event named (for loss attribution).
-        device: DevEui,
-        /// Transport time of the event.
-        time: Timestamp,
-    },
-    /// The event envelope itself failed to decode.
-    BadEvent,
-}
-
-/// Decode one delivery payload (the pure function run on the worker pool).
-fn decode_delivery(bytes: Arc<Vec<u8>>) -> DecodeOutcome {
-    let Ok(event) = UplinkEvent::decode(&bytes) else {
-        return DecodeOutcome::BadEvent;
-    };
-    match payload::decode(&event.payload, event.device, event.time) {
-        Ok(reading) => DecodeOutcome::Decoded(Box::new((event, reading))),
-        Err(_) => DecodeOutcome::BadPayload {
-            device: event.device,
-            time: event.time,
-        },
-    }
-}
-
-/// Worker width for the decode stage: the machine's parallelism, bounded so
-/// a fleet of test pipelines doesn't oversubscribe the host.
-fn decode_workers() -> usize {
-    worker_width(2, 8)
 }
 
 // Priority classes for same-instant events, in dispatch order. Ticks run
@@ -280,9 +240,6 @@ pub struct Pipeline {
     /// Each device's series handles, resolved at its first decoded uplink
     /// (see [`SERIES_PER_UPLINK`] for the order).
     series: HashMap<DevEui, [SeriesHandle; SERIES_PER_UPLINK]>,
-    /// Worker pool for the storage consumer's decode stage. Results are
-    /// merged in delivery order, so replay stays byte-identical.
-    decode_pool: OrderedPool<Arc<Vec<u8>>, DecodeOutcome>,
     /// The monitoring dataport.
     pub dataport: Dataport,
     radio_state: HashMap<DevEui, RadioState>,
@@ -392,7 +349,6 @@ impl Pipeline {
             tsdb,
             ingest,
             series: HashMap::new(),
-            decode_pool: OrderedPool::new(decode_workers(), decode_delivery),
             dataport,
             radio_state: HashMap::new(),
             scenario: ScenarioSet::new(),
@@ -1158,12 +1114,12 @@ impl Pipeline {
     }
 
     /// One bounded drain pass: up to `limit` deliveries through the
-    /// exactly-once ack gate, decoded in parallel, applied serially.
+    /// exactly-once ack gate, each decoded and applied inline in delivery
+    /// order, then one batched TSDB write.
     fn drain_storage(&mut self, limit: usize) {
-        // Stage 1 (serial): drain the queue through the exactly-once
-        // ack gate, in delivery order.
-        let mut batch: Vec<Arc<Vec<u8>>> = Vec::new();
-        while batch.len() < limit {
+        let mut points = Vec::with_capacity(SERIES_PER_UPLINK);
+        let mut taken = 0;
+        while taken < limit {
             let Some(delivery) = self.storage_sub.try_recv() else {
                 break;
             };
@@ -1174,45 +1130,35 @@ impl Pipeline {
                     continue;
                 }
             }
-            batch.push(Arc::clone(&delivery.message.payload));
-        }
-        // Stage 2 (parallel): decode on the worker pool. The pool's
-        // id-ordered merge returns outcomes in delivery order, so the
-        // serial apply below is byte-identical to the old inline loop.
-        let decoded = self.decode_pool.map(batch);
-        // Stage 3 (serial): ledger, twins, and one batched TSDB write.
-        let mut points = Vec::with_capacity(decoded.len() * SERIES_PER_UPLINK);
-        for outcome in decoded {
-            match outcome {
-                DecodeOutcome::BadEvent => {
-                    self.stats.decode_errors += 1;
-                }
-                DecodeOutcome::BadPayload { device, time } => {
-                    self.stats.decode_errors += 1;
-                    self.ledger.attribute(device, time, CauseCode::DecodeError);
-                }
-                DecodeOutcome::Decoded(pair) => {
-                    let (event, reading) = *pair;
-                    let skew = self
-                        .chaos
-                        .as_ref()
-                        .and_then(|c| c.clock_skew(event.device, event.time))
-                        .unwrap_or(Span::seconds(0));
-                    // An uplink whose series cannot be resolved is not
-                    // stored, so the ledger keeps it in flight.
-                    if let Some(handles) = self.device_series_handles(event.device) {
-                        collect_points(&handles, &event, &reading, skew, &mut points);
-                        self.ledger.stored(event.device, event.time);
-                    }
-                    self.dataport.on_uplink(
-                        event.device,
-                        event.time,
-                        reading.battery_pct,
-                        event.gateway,
-                        Dbm(event.rssi_dbm),
-                    );
-                }
+            taken += 1;
+            let Ok(event) = UplinkEvent::decode(&delivery.message.payload) else {
+                self.stats.decode_errors += 1;
+                continue;
+            };
+            let Ok(reading) = payload::decode(&event.payload, event.device, event.time) else {
+                self.stats.decode_errors += 1;
+                self.ledger
+                    .attribute(event.device, event.time, CauseCode::DecodeError);
+                continue;
+            };
+            let skew = self
+                .chaos
+                .as_ref()
+                .and_then(|c| c.clock_skew(event.device, event.time))
+                .unwrap_or(Span::seconds(0));
+            // An uplink whose series cannot be resolved is not stored, so
+            // the ledger keeps it in flight.
+            if let Some(handles) = self.device_series_handles(event.device) {
+                collect_points(&handles, &event, &reading, skew, &mut points);
+                self.ledger.stored(event.device, event.time);
             }
+            self.dataport.on_uplink(
+                event.device,
+                event.time,
+                reading.battery_pct,
+                event.gateway,
+                Dbm(event.rssi_dbm),
+            );
         }
         self.stats.points_stored += self.ingest.submit_resolved(&points);
         // Queue headroom opened: pull back QoS1 deliveries deferred while

@@ -78,7 +78,6 @@ fn downsample_aggregate(c: &mut Criterion) {
     let rollup = ServePolicy {
         cache: false,
         rollups: true,
-        parallel: false,
     };
     for (label, policy) in [("raw", ServePolicy::raw()), ("rollup", rollup)] {
         g.bench_with_input(BenchmarkId::new(label, 4), &policy, |b, policy| {

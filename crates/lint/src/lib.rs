@@ -39,6 +39,11 @@
 //! itself a violation. A `lint:allow(panic)` at a panic site also covers R7
 //! paths that end there (the rationale explains the panic, not the route).
 //!
+//! The config is checked too ([`check_config`]): a path prefix that
+//! matches no scanned source file, or an R7 entry point that resolves to
+//! no function, is a `config` finding, so moving a file cannot silently
+//! drop its coverage. It has no allow key.
+//!
 //! Machine-readable output and the baseline workflow live in [`report`]:
 //! `ctt-lint --json-out` writes a canonical JSON report, `--baseline` diffs
 //! findings against a committed baseline (fail on new, warn on stale).
@@ -77,6 +82,8 @@ pub enum Rule {
     LockOrder,
     /// R7: hot entry points must not transitively reach a panic.
     PanicReachability,
+    /// A [`LintConfig`] entry that covers nothing (see [`check_config`]).
+    Config,
 }
 
 impl Rule {
@@ -90,6 +97,7 @@ impl Rule {
             Rule::Determinism => "R5",
             Rule::LockOrder => "R6",
             Rule::PanicReachability => "R7",
+            Rule::Config => "config",
         }
     }
 }
@@ -167,7 +175,6 @@ impl Default for LintConfig {
                 "crates/tsdb/src/bits.rs".into(),
                 "crates/tsdb/src/rollup.rs".into(),
                 "crates/tsdb/src/cache.rs".into(),
-                "crates/core/src/pool.rs".into(),
                 "crates/lorawan/src/server.rs".into(),
                 "crates/lorawan/src/sim.rs".into(),
                 "crates/sim/src/".into(),
@@ -245,6 +252,55 @@ impl LintConfig {
             .iter()
             .any(|p| relpath.starts_with(p.as_str()))
     }
+}
+
+/// Config findings: a `hot_paths` or `replay_paths` prefix that matches no
+/// scanned source file, or an R7 entry point that resolves to no function.
+/// Either means the entry silently lost its lint coverage, e.g. after a
+/// file moved. Findings carry the path `LintConfig` and line 0.
+pub fn check_config(files: &[SourceFile], config: &LintConfig) -> Vec<Finding> {
+    let sources: Vec<&SourceFile> = files.iter().filter(|f| !is_test_path(&f.relpath)).collect();
+    let finding = |message: String| Finding {
+        rule: Rule::Config,
+        path: "LintConfig".to_string(),
+        line: 0,
+        message,
+        call_path: Vec::new(),
+    };
+    let mut findings = Vec::new();
+    for (field, prefixes) in [
+        ("hot_paths", &config.hot_paths),
+        ("replay_paths", &config.replay_paths),
+    ] {
+        for prefix in prefixes {
+            if !sources
+                .iter()
+                .any(|f| f.relpath.starts_with(prefix.as_str()))
+            {
+                findings.push(finding(format!(
+                    "{field} prefix `{prefix}` matches no scanned source file"
+                )));
+            }
+        }
+    }
+    let all_facts: Vec<facts::FileFacts> = sources
+        .iter()
+        .map(|f| facts::extract(&f.relpath, &scan(&f.src)))
+        .collect();
+    for (scope, name) in &config.entry_points {
+        let resolves = all_facts.iter().any(|file| {
+            file.functions
+                .iter()
+                .any(|f| rules::is_entry(file, f, scope, name))
+        });
+        if !resolves {
+            findings.push(finding(format!(
+                "R7 entry point `{scope}::{name}` resolves to no function"
+            )));
+        }
+    }
+    findings.sort_by(|a, b| a.message.cmp(&b.message));
+    findings
 }
 
 /// Whether a workspace-relative path is test/bench scaffolding (exempt from
@@ -940,5 +996,86 @@ mod tests {
     fn test_paths_are_exempt() {
         let src = "pub fn f(lat: f64) { X.unwrap(); }\n";
         assert!(lint_file("crates/x/tests/t.rs", src, &hot_config()).is_empty());
+    }
+
+    fn config_workspace() -> Vec<SourceFile> {
+        let file = |relpath: &str, src: &str| SourceFile {
+            relpath: relpath.to_string(),
+            src: src.to_string(),
+        };
+        vec![
+            file(
+                "crates/a/src/engine.rs",
+                "pub struct Engine;\nimpl Engine {\n    pub fn run(&self) {}\n}\n",
+            ),
+            file("crates/a/src/util.rs", "pub fn helper() {}\n"),
+            file("crates/b/tests/t.rs", "fn t() {}\n"),
+        ]
+    }
+
+    fn empty_config() -> LintConfig {
+        LintConfig {
+            hot_paths: vec![],
+            replay_paths: vec![],
+            entry_points: vec![],
+        }
+    }
+
+    fn config_messages(config: &LintConfig) -> Vec<String> {
+        let findings = check_config(&config_workspace(), config);
+        assert!(findings.iter().all(|f| f.rule == Rule::Config));
+        findings.into_iter().map(|f| f.message).collect()
+    }
+
+    #[test]
+    fn config_flags_hot_path_matching_no_file() {
+        let config = LintConfig {
+            hot_paths: vec![
+                "crates/a/src/".into(),
+                "crates/a/src/pool.rs".into(),
+                // Only a test file lives here: no rule would ever apply.
+                "crates/b/".into(),
+            ],
+            ..empty_config()
+        };
+        assert_eq!(
+            config_messages(&config),
+            vec![
+                "hot_paths prefix `crates/a/src/pool.rs` matches no scanned source file",
+                "hot_paths prefix `crates/b/` matches no scanned source file",
+            ]
+        );
+    }
+
+    #[test]
+    fn config_flags_replay_path_matching_no_file() {
+        let config = LintConfig {
+            replay_paths: vec!["crates/a/src/util.rs".into(), "src/".into()],
+            ..empty_config()
+        };
+        assert_eq!(
+            config_messages(&config),
+            vec!["replay_paths prefix `src/` matches no scanned source file"]
+        );
+    }
+
+    #[test]
+    fn config_flags_entry_point_resolving_to_no_function() {
+        let config = LintConfig {
+            entry_points: vec![
+                ("Engine".into(), "run".into()),
+                ("util".into(), "helper".into()),
+                ("Engine".into(), "stop".into()),
+                ("Pool".into(), "map".into()),
+            ],
+            ..empty_config()
+        };
+        assert_eq!(
+            config_messages(&config),
+            vec![
+                "R7 entry point `Engine::stop` resolves to no function",
+                "R7 entry point `Pool::map` resolves to no function",
+            ]
+        );
     }
 }

@@ -1,6 +1,7 @@
 //! `ctt-lint` binary: walk the workspace, lint every Rust source file with
-//! the line rules (R1–R4) and the workspace semantic rules (R5–R7), and exit
-//! non-zero on violations.
+//! the line rules (R1–R4) and the workspace semantic rules (R5–R7), check
+//! that every config entry still covers something, and exit non-zero on
+//! violations.
 //!
 //! Usage:
 //!   cargo run -p ctt-lint [-- <workspace-root>] [--json-out <file>]
@@ -21,7 +22,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use ctt_lint::report::{baseline_key, diff_baseline, to_json};
-use ctt_lint::{lint_workspace, LintConfig, SourceFile};
+use ctt_lint::{check_config, lint_workspace, LintConfig, SourceFile};
 
 /// Directory names never descended into.
 const SKIP_DIRS: &[&str] = &["target", "vendor", ".git", "fixtures", "node_modules"];
@@ -88,7 +89,10 @@ fn main() -> ExitCode {
     }
     let scanned = files.len();
 
-    let findings = lint_workspace(&files, &config);
+    // Config findings sort first: their path, `LintConfig`, precedes every
+    // lowercase workspace path, so the report stays in canonical order.
+    let mut findings = check_config(&files, &config);
+    findings.extend(lint_workspace(&files, &config));
 
     if let Some(json_path) = &args.json_out {
         let json = to_json(&findings, scanned);

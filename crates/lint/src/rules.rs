@@ -4,7 +4,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::facts::{DetKind, FileFacts};
+use crate::facts::{DetKind, FileFacts, FnFacts};
 use crate::graph::{CallGraph, FnId, LockGraph};
 use crate::{Finding, LintConfig, Rule};
 
@@ -81,6 +81,16 @@ pub(crate) fn check_lock_order(graph: &CallGraph<'_>) -> Vec<Finding> {
     out
 }
 
+/// Whether `f`, defined in `file`, is the R7 entry point `scope::name`:
+/// `scope` names the impl type, or the file stem for a free function.
+pub(crate) fn is_entry(file: &FileFacts, f: &FnFacts, scope: &str, name: &str) -> bool {
+    let scope_match = match &f.impl_type {
+        Some(ty) => ty == scope,
+        None => file.file_stem == scope,
+    };
+    scope_match && f.name == name
+}
+
 /// R7: hot entry points must not reach a panicking construct through any
 /// callee chain. One finding per reachable panic site, carrying the shortest
 /// call path from the first entry point that reaches it.
@@ -91,11 +101,7 @@ pub(crate) fn check_panic_reachability(graph: &CallGraph<'_>, config: &LintConfi
     for (scope, name) in &config.entry_points {
         for (fi, file) in graph.files.iter().enumerate() {
             for (gi, f) in file.functions.iter().enumerate() {
-                let scope_match = match &f.impl_type {
-                    Some(ty) => ty == scope,
-                    None => &file.file_stem == scope,
-                };
-                if scope_match && &f.name == name {
+                if is_entry(file, f, scope, name) {
                     entries.push((format!("{scope}::{name}"), (fi, gi)));
                 }
             }

@@ -15,7 +15,7 @@
 //! shard's `(priority, seq)` order, cross-lane events separate. Because
 //! same-slice groups touch disjoint shards, a driver may dispatch the
 //! groups in parallel and merge outcomes in shard-index order (the
-//! *sequence everywhere* rule from `ctt_core::pool`): the result is
+//! *sequence everywhere* rule of `ctt::OrderedPool`): the result is
 //! byte-identical to dispatching the groups sequentially. Cross-lane
 //! events run at the slice barrier, after every shard-local event of the
 //! slice — that is the cross-shard routing rule, and it is what keeps a

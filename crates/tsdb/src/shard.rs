@@ -28,9 +28,10 @@
 //! * **Rollups + block index** — inside each shard, downsample queries are
 //!   answered from seal-time rollups and non-overlapping chunks are
 //!   skipped via the block index (see [`crate::rollup`], [`crate::store`]).
-//! * **Parallel collect** — on multi-core hosts, phase-1 runs on the
-//!   shared [`OrderedPool`]; results merge in submission (= shard) order,
-//!   so parallelism never changes bytes.
+//!
+//! Phase 1 runs on the caller thread, one shard after another: concurrent
+//! dashboard queries already occupy the cores, and an end-to-end ablation
+//! of a per-query collection pool moved no metric beyond noise.
 
 use crate::cache::{query_signature, CacheStats, QueryCache};
 use crate::error::TsdbError;
@@ -40,13 +41,12 @@ use crate::store::{
     BitFlipOutcome, IntegrityReport, QuarantineReport, ScanCounts, StoreStats, Tsdb,
     DEFAULT_CHUNK_SIZE, DEFAULT_ROLLUP_INTERVAL,
 };
-use ctt_core::pool::{worker_width, OrderedPool};
 use ctt_core::time::{Span, Timestamp};
 use ctt_obs::{Counter, Registry};
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Default shard count: matches the ingest worker pool's default width.
 pub const DEFAULT_SHARDS: usize = 4;
@@ -97,8 +97,6 @@ pub struct ServePolicy {
     pub cache: bool,
     /// Serve downsample buckets from seal-time rollups where provable.
     pub rollups: bool,
-    /// Collect shards on the worker pool when the host has spare cores.
-    pub parallel: bool,
 }
 
 impl ServePolicy {
@@ -107,16 +105,14 @@ impl ServePolicy {
         ServePolicy {
             cache: true,
             rollups: true,
-            parallel: true,
         }
     }
 
-    /// Reference path: sequential, uncached, raw chunk decode only.
+    /// Reference path: uncached, raw chunk decode only.
     pub fn raw() -> Self {
         ServePolicy {
             cache: false,
             rollups: false,
-            parallel: false,
         }
     }
 }
@@ -152,8 +148,6 @@ impl ShardObs {
 }
 
 type ShardCollections = BTreeMap<TagSet, GroupCollection>;
-type PoolJob = (Arc<RwLock<Tsdb>>, Arc<Query>, bool);
-type PoolOut = Result<ShardCollections, TsdbError>;
 
 /// A time-series database partitioned across N single-owner shards.
 #[derive(Debug)]
@@ -164,10 +158,6 @@ pub struct ShardedTsdb {
     epochs: Vec<Arc<AtomicU64>>,
     obs: Vec<ShardObs>,
     cache: QueryCache,
-    /// Lazily-built phase-1 collection pool; `None` once initialized on a
-    /// host where `worker_width` resolves to a single worker (parallel
-    /// collect would only add channel overhead there).
-    pool: OnceLock<Option<OrderedPool<PoolJob, PoolOut>>>,
 }
 
 impl Default for ShardedTsdb {
@@ -199,7 +189,6 @@ impl ShardedTsdb {
             epochs: (0..n).map(|_| Arc::new(AtomicU64::new(0))).collect(),
             obs: vec![ShardObs::default(); n],
             cache: QueryCache::default(),
-            pool: OnceLock::new(),
         }
     }
 
@@ -331,40 +320,9 @@ impl ShardedTsdb {
         written
     }
 
-    /// The shared phase-1 collection pool, built on first use; `None` on
-    /// single-worker hosts (sequential collect is strictly cheaper there).
-    fn pool(&self) -> Option<&OrderedPool<PoolJob, PoolOut>> {
-        self.pool
-            .get_or_init(|| {
-                let width = worker_width(1, self.shards.len());
-                (width > 1).then(|| {
-                    OrderedPool::new(width, |(db, q, rollups): PoolJob| {
-                        collect_groups(&db.read(), &q, rollups)
-                    })
-                })
-            })
-            .as_ref()
-    }
-
-    fn collect_sequential(
-        &self,
-        missing: &[usize],
-        q: &Query,
-        rollups: bool,
-    ) -> Vec<(usize, PoolOut)> {
-        missing
-            .iter()
-            .filter_map(|&i| {
-                self.shards
-                    .get(i)
-                    .map(|s| (i, collect_groups(&s.read(), q, rollups)))
-            })
-            .collect()
-    }
-
-    /// Execute a query with the full serving stack (cache + rollups +
-    /// parallel collect). Byte-identical to running the same query against
-    /// a single [`Tsdb`] holding all the data.
+    /// Execute a query with the full serving stack (cache + rollups).
+    /// Byte-identical to running the same query against a single [`Tsdb`]
+    /// holding all the data.
     pub fn execute(&self, q: &Query) -> Result<Vec<QueryResult>, TsdbError> {
         self.execute_with(q, ServePolicy::full())
     }
@@ -379,10 +337,8 @@ impl ShardedTsdb {
     ) -> Result<Vec<QueryResult>, TsdbError> {
         // Count the query on every shard up front: cache-served queries
         // are still queries, and miss/hit ratios depend on this base rate.
-        for i in 0..self.shards.len() {
-            if let Some(o) = self.obs_of(i) {
-                o.queries.inc();
-            }
+        for o in &self.obs {
+            o.queries.inc();
         }
         // Epochs are read *before* collecting: a write racing with the
         // collection can only make the stored entry look older than its
@@ -392,74 +348,39 @@ impl ShardedTsdb {
             .iter()
             .map(|e| e.load(Ordering::Acquire))
             .collect();
-        let sig = if policy.cache {
-            Some(query_signature(q))
-        } else {
-            None
-        };
+        let sig = policy.cache.then(|| query_signature(q));
         if let Some(sig) = &sig {
             if let Some(results) = self.cache.get_results(sig, &epochs) {
                 return Ok(results);
             }
         }
-        // Per-shard phase-1 collections: cache-valid shards are reused, the
-        // rest are collected under their read lock (in parallel when the
-        // host allows). Cache locks and shard locks are never held together.
-        let n = self.shards.len();
-        let mut collections: Vec<Option<ShardCollections>> = (0..n).map(|_| None).collect();
-        if let Some(sig) = &sig {
-            for (i, slot) in collections.iter_mut().enumerate() {
-                *slot = self
-                    .cache
-                    .get_collection(sig, i, epochs.get(i).copied().unwrap_or(0));
-            }
-        }
-        let missing: Vec<usize> = collections
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.is_none())
-            .map(|(i, _)| i)
-            .collect();
-        let fresh: Vec<(usize, PoolOut)> = match self.pool() {
-            Some(pool) if policy.parallel && missing.len() > 1 => {
-                let qa = Arc::new(q.clone());
-                let jobs: Vec<PoolJob> = missing
-                    .iter()
-                    .filter_map(|&i| {
-                        self.shards
-                            .get(i)
-                            .map(|s| (Arc::clone(s), Arc::clone(&qa), policy.rollups))
-                    })
-                    .collect();
-                missing.iter().copied().zip(pool.map(jobs)).collect()
-            }
-            _ => self.collect_sequential(&missing, q, policy.rollups),
-        };
-        for (i, result) in fresh {
-            let collected = result?;
-            if let Some(o) = self.obs_of(i) {
-                let mut counts = ScanCounts::default();
-                for c in collected.values() {
-                    counts.merge(c.counts);
-                }
-                o.record_scan(counts);
-            }
-            if let Some(sig) = &sig {
-                self.cache.put_collection(
-                    sig,
-                    i,
-                    epochs.get(i).copied().unwrap_or(0),
-                    collected.clone(),
-                );
-            }
-            if let Some(slot) = collections.get_mut(i) {
-                *slot = Some(collected);
-            }
-        }
-        // Merge in shard index order; finalize once over the merged set.
+        // Phase 1 per shard, in shard index order: reuse the cached
+        // collection while the shard's epoch matches, else collect under
+        // the shard's read lock. Cache locks and shard locks are never
+        // held together. The merge folds shards in index order.
         let mut merged: ShardCollections = BTreeMap::new();
-        for coll in collections.into_iter().flatten() {
-            for (group, c) in coll {
+        for (i, (shard, &epoch)) in self.shards.iter().zip(&epochs).enumerate() {
+            let cached = sig
+                .as_ref()
+                .and_then(|sig| self.cache.get_collection(sig, i, epoch));
+            let collected = match cached {
+                Some(c) => c,
+                None => {
+                    let fresh = collect_groups(&shard.read(), q, policy.rollups)?;
+                    if let Some(o) = self.obs_of(i) {
+                        let mut counts = ScanCounts::default();
+                        for c in fresh.values() {
+                            counts.merge(c.counts);
+                        }
+                        o.record_scan(counts);
+                    }
+                    if let Some(sig) = &sig {
+                        self.cache.put_collection(sig, i, epoch, fresh.clone());
+                    }
+                    fresh
+                }
+            };
+            for (group, c) in collected {
                 merged.entry(group).or_default().merge(c);
             }
         }

@@ -1,11 +1,14 @@
 //! Concurrent-writer stress: many threads hammer a shared [`ShardedTsdb`]
 //! through `put_batch` while readers run queries and integrity scans. The
 //! locks must neither lose writes nor deadlock, and the final contents must
-//! equal a serial reference ingest of the same points.
+//! equal a serial reference ingest of the same points. Concurrent readers
+//! of a loaded store must each get exactly the reference answer.
 
-use ctt_core::time::Timestamp;
-use ctt_tsdb::{DataPoint, Query, ShardedTsdb, TagSet};
-use std::sync::Arc;
+use ctt_core::time::{Span, Timestamp};
+use ctt_tsdb::{
+    Aggregator, DataPoint, Downsample, FillPolicy, Query, ServePolicy, ShardedTsdb, TagSet,
+};
+use std::sync::{Arc, Barrier};
 
 fn writer_points(writer: usize, points: i64) -> Vec<DataPoint> {
     (0..points)
@@ -116,4 +119,61 @@ fn concurrent_writers_with_interleaved_eviction() {
     assert_eq!(st.points, (WRITERS as u64) * survivors_per_writer as u64);
     let scan = db.integrity_scan();
     assert_eq!(scan.readable_points + scan.quarantined_points, st.points);
+}
+
+#[test]
+fn concurrent_readers_get_the_reference_answers() {
+    const DEVICES: usize = 12;
+    const POINTS: i64 = 576; // two days at a 5-minute cadence
+    let db = ShardedTsdb::with_chunk_size(4, 64);
+    for d in 0..DEVICES {
+        let city = if d % 2 == 0 { "trondheim" } else { "vejle" };
+        let pts: Vec<DataPoint> = (0..POINTS)
+            .map(|i| {
+                DataPoint::new(
+                    "ctt.air.co2",
+                    vec![
+                        ("city".to_string(), city.to_string()),
+                        ("device".to_string(), format!("n{d}")),
+                    ],
+                    Timestamp(i * 300),
+                    400.0 + d as f64 + (i % 37) as f64 * 0.5,
+                )
+                .expect("valid point")
+            })
+            .collect();
+        db.put_batch(&pts);
+    }
+    db.seal_all();
+    let range = || Query::range("ctt.air.co2", Timestamp(0), Timestamp(POINTS * 300));
+    let queries = [
+        range().with_tag("city", "trondheim"),
+        range().group_by("device"),
+        range().aggregate(Aggregator::P95),
+        range().downsample(Downsample {
+            interval: Span::hours(1),
+            aggregator: Aggregator::Avg,
+            fill: FillPolicy::None,
+        }),
+    ];
+    let reference: Vec<_> = queries
+        .iter()
+        .map(|q| db.execute_with(q, ServePolicy::raw()).expect("raw query"))
+        .collect();
+    assert!(reference.iter().all(|r| !r.is_empty()));
+    // All readers start together, so their first, cache-cold rounds
+    // collect the same shards at the same time.
+    let start = Barrier::new(queries.len());
+    std::thread::scope(|s| {
+        for (q, want) in queries.iter().zip(&reference) {
+            let (db, start) = (&db, &start);
+            s.spawn(move || {
+                start.wait();
+                for round in 0..200 {
+                    let got = db.execute(q).expect("query");
+                    assert_eq!(&got, want, "round {round} diverged on {q:?}");
+                }
+            });
+        }
+    });
 }

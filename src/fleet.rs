@@ -30,8 +30,8 @@
 //! and radio deadlines landing exactly on `end` belong to this run), so
 //! run-splitting is invariant through the sharded path too.
 
+use crate::parallel::{worker_width, OrderedPool};
 use crate::pipeline::{Pipeline, SimEvent, PRIO_RADIO, PRIO_TICK};
-use ctt_core::pool::{worker_width, OrderedPool};
 use ctt_core::time::{Span, Timestamp};
 use ctt_dataport::TwinState;
 use ctt_obs::{Registry, Snapshot};
@@ -155,7 +155,7 @@ impl Fleet {
         let mut city_shard = Vec::with_capacity(pipelines.len());
         let mut start: Option<Timestamp> = None;
         for (idx, mut p) in pipelines.into_iter().enumerate() {
-            let shard = space.shard_of(&p.deployment.city.to_lowercase());
+            let shard = space.shard_of(p.city_slug());
             for (key, ev) in p.unmount_events() {
                 space.schedule(
                     shard,

@@ -51,7 +51,7 @@ pub use ctt_tsdb as tsdb;
 pub use ctt_viz as viz;
 
 pub use fleet::{Fleet, FleetConfig, DEFAULT_FLEET_SHARDS};
-pub use parallel::{run_cities_parallel, worker_width, OrderedPool};
+pub use parallel::{worker_width, OrderedPool};
 pub use pipeline::{Pipeline, PipelineStats};
 
 /// Commonly used items for examples and applications.

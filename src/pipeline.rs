@@ -433,6 +433,12 @@ impl Pipeline {
         self.clock.now()
     }
 
+    /// The city's slug: its `city` tag value, and the key a
+    /// [`crate::Fleet`] hashes to pick the city's shard.
+    pub(crate) fn city_slug(&self) -> &str {
+        &self.city_slug
+    }
+
     /// The emission ground truth (for experiment comparisons).
     pub fn emission(&self) -> &EmissionModel {
         &self.emission

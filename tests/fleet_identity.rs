@@ -295,3 +295,30 @@ fn four_city_fleet_parallel_equals_sequential() {
     let got: Vec<_> = parallel.into_pipelines().iter().map(observables).collect();
     assert_eq!(got, ref_obs);
 }
+
+/// Two pipelines of one city (same slug, so the same shard) beside a
+/// second city, dispatched in parallel over six hours: every pipeline must
+/// equal the same pipeline advanced alone by its own `run_until`.
+#[test]
+fn same_city_twice_matches_solo_runs() {
+    let build = || {
+        vec![
+            Pipeline::new(Deployment::vejle(), 7),
+            Pipeline::new(Deployment::trondheim(), 7),
+            Pipeline::new(Deployment::vejle(), 99),
+        ]
+    };
+    let end = Deployment::vejle().started + Span::hours(6);
+    let mut solo = build();
+    for p in &mut solo {
+        p.run_until(end);
+    }
+    let want: Vec<_> = solo.iter().map(split_observables).collect();
+    let fleet = run_fleet(build(), 4, true, end);
+    let got: Vec<_> = fleet
+        .into_pipelines()
+        .iter()
+        .map(split_observables)
+        .collect();
+    assert_eq!(got, want);
+}
